@@ -890,7 +890,13 @@ void DBImpl::MaybeScheduleCompaction() {
   if (background_compaction_scheduled_) return;
   if (shutting_down_.load(std::memory_order_acquire)) return;
   if (!bg_error_.ok()) return;
-  if (imm_queue_.empty() && !versions_->NeedsCompaction()) return;
+  // A queued memtable is work for the background thread only while no
+  // other thread is flushing: flushes run one at a time, and a writer's
+  // inline flush re-arms the scheduler itself when it lands
+  // (CompactMemTable). Scheduling behind it would find nothing to do and
+  // re-arm, spinning a core for as long as the flush runs.
+  const bool flush_pending = !imm_queue_.empty() && !flush_in_progress_;
+  if (!flush_pending && !versions_->NeedsCompaction()) return;
   background_compaction_scheduled_ = true;
   env_->Schedule(&DBImpl::BGWork, this);
 }
@@ -1014,6 +1020,10 @@ Status DBImpl::CompactMemTable() {
     mutex_.Lock();
   }
   flush_in_progress_ = false;
+  // Memtables queued behind this flush were not scheduled while it ran
+  // (see MaybeScheduleCompaction); hand them to the background thread now.
+  // A failed flush is left to its caller, which retries or records it.
+  if (s.ok()) MaybeScheduleCompaction();
   // Wake writers parked on the "imm_ still flushing" rung (and error
   // waiters: they re-check bg_error_).
   background_work_finished_signal_.SignalAll();

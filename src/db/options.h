@@ -51,6 +51,7 @@ struct Options {
   /// Amount of data to build up in the memtable before flushing to an L0
   /// SSTable. The default is deliberately small (the paper's experiments are
   /// scaled down so benches still develop 4+ levels on laptop-size data).
+  /// Open clips it to [64 KiB, 1 GiB]; a smaller value acts as 64 KiB.
   size_t write_buffer_size = 1 << 20;  // 1 MB
 
   /// Approximate uncompressed size of SSTable data blocks.

@@ -14,8 +14,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -226,8 +229,153 @@ TEST_F(IngestDBTest, EmptyFeedIsANoop) {
 // 2. Pipelined flush
 // ---------------------------------------------------------------------------
 
+// Forwards to a base Env, except that while the gate is closed creating an
+// SSTable (".ldb") blocks until it reopens. Flushes create their table
+// inside WriteLevel0Table with the DB mutex released, so a closed gate
+// holds a flush exactly as a slow device would, while WAL and MANIFEST
+// writes — and therefore foreground Puts — keep going. Background work can
+// be held too: while held, a scheduled call waits before it starts.
+class TableWriteGateEnv : public Env {
+ public:
+  struct Counts {
+    int parked_table_writes = 0;    // table creations waiting at the gate
+    int scheduled = 0;              // Schedule() calls so far
+    int background_calls_done = 0;  // scheduled calls that have returned
+  };
+
+  explicit TableWriteGateEnv(Env* base) : base_(base) {}
+
+  ~TableWriteGateEnv() override {
+    // Scheduled calls still touch this object after the DB has gone.
+    std::unique_lock<std::mutex> l(mu_);
+    closed_ = false;
+    bg_held_ = false;
+    cv_.notify_all();
+    cv_.wait(l, [this]() {
+      return counts_.background_calls_done == counts_.scheduled;
+    });
+  }
+
+  void SetGateClosed(bool closed) {
+    std::lock_guard<std::mutex> l(mu_);
+    closed_ = closed;
+    cv_.notify_all();
+  }
+
+  void HoldBackgroundWork(bool hold) {
+    std::lock_guard<std::mutex> l(mu_);
+    bg_held_ = hold;
+    cv_.notify_all();
+  }
+
+  Counts counts() {
+    std::lock_guard<std::mutex> l(mu_);
+    return counts_;
+  }
+
+  // Waits up to 10 s for done(counts); returns whether it came true.
+  template <typename Pred>
+  bool WaitFor(Pred done) {
+    std::unique_lock<std::mutex> l(mu_);
+    return cv_.wait_for(l, std::chrono::seconds(10),
+                        [&]() { return done(counts_); });
+  }
+
+  Status NewWritableFile(const std::string& fname,
+                         std::unique_ptr<WritableFile>* result) override {
+    if (fname.size() > 4 &&
+        fname.compare(fname.size() - 4, 4, ".ldb") == 0) {
+      std::unique_lock<std::mutex> l(mu_);
+      counts_.parked_table_writes++;
+      cv_.notify_all();
+      cv_.wait(l, [this]() { return !closed_; });
+      counts_.parked_table_writes--;
+    }
+    return base_->NewWritableFile(fname, result);
+  }
+  void Schedule(void (*function)(void*), void* arg) override {
+    {
+      std::lock_guard<std::mutex> l(mu_);
+      counts_.scheduled++;
+    }
+    base_->Schedule(&TableWriteGateEnv::RunScheduled,
+                    new ScheduledCall{this, function, arg});
+  }
+  Status NewSequentialFile(const std::string& fname,
+                           std::unique_ptr<SequentialFile>* result) override {
+    return base_->NewSequentialFile(fname, result);
+  }
+  Status NewRandomAccessFile(
+      const std::string& fname,
+      std::unique_ptr<RandomAccessFile>* result) override {
+    return base_->NewRandomAccessFile(fname, result);
+  }
+  bool FileExists(const std::string& fname) override {
+    return base_->FileExists(fname);
+  }
+  Status GetChildren(const std::string& dir,
+                     std::vector<std::string>* result) override {
+    return base_->GetChildren(dir, result);
+  }
+  Status RemoveFile(const std::string& fname) override {
+    return base_->RemoveFile(fname);
+  }
+  Status CreateDir(const std::string& dirname) override {
+    return base_->CreateDir(dirname);
+  }
+  Status RemoveDir(const std::string& dirname) override {
+    return base_->RemoveDir(dirname);
+  }
+  Status GetFileSize(const std::string& fname, uint64_t* size) override {
+    return base_->GetFileSize(fname, size);
+  }
+  Status RenameFile(const std::string& src,
+                    const std::string& target) override {
+    return base_->RenameFile(src, target);
+  }
+  Status SyncDir(const std::string& dirname) override {
+    return base_->SyncDir(dirname);
+  }
+  uint64_t NowMicros() override { return base_->NowMicros(); }
+  void StartThread(void (*function)(void*), void* arg) override {
+    base_->StartThread(function, arg);
+  }
+  void SleepForMicroseconds(int micros) override {
+    base_->SleepForMicroseconds(micros);
+  }
+
+ private:
+  struct ScheduledCall {
+    TableWriteGateEnv* env;
+    void (*function)(void*);
+    void* arg;
+  };
+
+  static void RunScheduled(void* p) {
+    std::unique_ptr<ScheduledCall> call(static_cast<ScheduledCall*>(p));
+    TableWriteGateEnv* const env = call->env;
+    {
+      std::unique_lock<std::mutex> l(env->mu_);
+      env->cv_.wait(l, [env]() { return !env->bg_held_; });
+    }
+    call->function(call->arg);
+    std::lock_guard<std::mutex> l(env->mu_);
+    env->counts_.background_calls_done++;
+    env->cv_.notify_all();
+  }
+
+  Env* const base_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool closed_ = false;   // guarded by mu_
+  bool bg_held_ = false;  // guarded by mu_
+  Counts counts_;         // guarded by mu_
+};
+
 TEST_F(IngestDBTest, PipelinedFlushDrainsMultiWriterLoad) {
+  TableWriteGateEnv gate(env_.get());
   Options options = MakeOptions();
+  options.env = &gate;
   options.write_buffer_size = 16 << 10;
   options.background_compaction = true;
   options.max_immutable_memtables = 4;
@@ -235,6 +383,11 @@ TEST_F(IngestDBTest, PipelinedFlushDrainsMultiWriterLoad) {
   ASSERT_TRUE(DBImpl::Open(options, "/pipelined", &raw).ok());
   std::unique_ptr<DBImpl> db(raw);
 
+  // Hold every flush at its table write until the writers have rotated a
+  // second memtable into the queue behind the first. Without the gate a
+  // flush can finish before the next memtable fills, and whether the queue
+  // ever holds two entries would depend on scheduling.
+  gate.SetGateClosed(true);
   const int kThreads = 4, kPerThread = 400;
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -248,6 +401,16 @@ TEST_F(IngestDBTest, PipelinedFlushDrainsMultiWriterLoad) {
       }
     });
   }
+  // Writers can only park once the queue is full, and the workload fills
+  // about four memtables, so the depth reaches 2 while the gate is closed.
+  // The bound only ends a run that is already failing.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (db->GetWriteStallState().imm_queue_depth < 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  gate.SetGateClosed(false);
   for (auto& t : threads) t.join();
   ASSERT_EQ(0, failures.load());
   ASSERT_TRUE(db->WaitForBackgroundWork().ok());
@@ -260,12 +423,66 @@ TEST_F(IngestDBTest, PipelinedFlushDrainsMultiWriterLoad) {
     }
   }
 
-  // The workload (4 writers, 16KB buffers) must actually have pipelined:
-  // at least one rotation happened while an earlier flush was still
-  // pending, i.e. the queue got deeper than the classic single slot.
+  // The workload (4 writers; the 16KB buffer is clipped to the 64 KiB
+  // floor, so ~4 rotations) must actually have pipelined: with the first
+  // flush held at the gate, at least one rotation happened while an earlier
+  // flush was still pending, i.e. the queue got deeper than the classic
+  // single slot.
   Histogram depth = stats_.GetHistogram(kHistFlushQueueDepth);
   ASSERT_GT(depth.Count(), 0u);
   EXPECT_GT(depth.Max(), 1.0);
+}
+
+TEST_F(IngestDBTest, InlineFlushLeavesBackgroundThreadIdle) {
+  // A writer that finds the queue full while no flush runs flushes inline.
+  // The background thread cannot take any queued memtable meanwhile
+  // (flushes run one at a time), so it must not be re-armed for them: a
+  // background call that finds nothing to do and reschedules itself spins
+  // a core for as long as the inline flush takes.
+  TableWriteGateEnv gate(env_.get());
+  Options options = MakeOptions();
+  options.env = &gate;
+  options.background_compaction = true;
+  options.max_immutable_memtables = 1;
+  DBImpl* raw = nullptr;
+  ASSERT_TRUE(DBImpl::Open(options, "/inline_flush", &raw).ok());
+  std::unique_ptr<DBImpl> db(raw);
+
+  // Holding background work keeps the first rotation's flush unclaimed, so
+  // the writer's next rotation finds the single slot full with no flush
+  // running and flushes inline, parking at the table gate.
+  gate.HoldBackgroundWork(true);
+  gate.SetGateClosed(true);
+  std::atomic<int> failures{0};
+  std::thread writer([&]() {
+    const std::string pad(120, 'p');
+    for (int i = 0; i < 2000; i++) {
+      if (!db->Put(WriteOptions(), Key(i), pad).ok()) failures++;
+    }
+  });
+  const bool inline_flush_parked =
+      gate.WaitFor([](const TableWriteGateEnv::Counts& c) {
+        return c.parked_table_writes == 1 && c.scheduled == 1;
+      });
+  EXPECT_TRUE(inline_flush_parked);
+
+  // Let the one scheduled background call run. It finds the queue's only
+  // memtable already being flushed and must return without re-arming.
+  gate.HoldBackgroundWork(false);
+  EXPECT_TRUE(gate.WaitFor([](const TableWriteGateEnv::Counts& c) {
+    return c.background_calls_done >= 1;
+  }));
+  EXPECT_EQ(1, gate.counts().scheduled);
+  EXPECT_EQ(1, gate.counts().background_calls_done);
+
+  gate.SetGateClosed(false);
+  writer.join();
+  ASSERT_EQ(0, failures.load());
+  ASSERT_TRUE(db->WaitForBackgroundWork().ok());
+  std::string value;
+  for (int i = 0; i < 2000; i++) {
+    ASSERT_TRUE(db->Get(ReadOptions(), Key(i), &value).ok()) << Key(i);
+  }
 }
 
 TEST_F(IngestDBTest, PipelinedFlushRecoversAllWals) {
